@@ -91,9 +91,6 @@ void print_usage(std::FILE* out) {
                "                    ranks:M|ranks:MxN — M forked rank\n"
                "                    processes with ghost-halo exchange,\n"
                "                    optionally N shard threads each)\n"
-               "  --transport=T     halo transport override for ranks:\n"
-               "                    backends (shm|socket); same as\n"
-               "                    dist.transport=T\n"
                "  --output-dir=DIR  prefix for relative output paths\n"
                "  --print           parse and show the effective scenario,\n"
                "                    do not run\n"
@@ -127,7 +124,7 @@ void print_usage(std::FILE* out) {
                "  checkpoint.path telemetry.trace telemetry.metrics\n"
                "  telemetry.snapshot\n"
                "distributed keys (ranks: backends only):\n"
-               "  dist.transport dist.timeout dist.kill_rank dist.kill_step\n"
+               "  dist.timeout dist.kill_rank dist.kill_step\n"
                "health keys (run-health watchdog; warn|abort|off):\n"
                "  health.nan health.energy_drift health.energy_band\n"
                "  health.temperature health.temperature_band health.stall\n"
@@ -289,17 +286,6 @@ bool parse_telemetry_flag(const std::string& arg,
   return true;
 }
 
-/// Parse --transport=shm|socket into the dist.transport deck override (the
-/// value check stays in scenario parsing, so the flag and the deck key
-/// cannot drift).
-bool parse_transport_flag(const std::string& arg,
-                          std::vector<wsmd::scenario::DeckEntry>& overrides) {
-  using wsmd::scenario::DeckEntry;
-  if (!wsmd::starts_with(arg, "--transport=")) return false;
-  overrides.push_back(DeckEntry{"dist.transport", arg.substr(12), 0});
-  return true;
-}
-
 int run_report(int argc, char** argv) {
   using namespace wsmd;
   std::vector<std::string> decks;
@@ -338,8 +324,6 @@ int run_report(int argc, char** argv) {
       opt.output_dir = arg.substr(13);
     } else if (parse_telemetry_flag(arg, overrides)) {
       // handled
-    } else if (parse_transport_flag(arg, overrides)) {
-      // handled
     } else if (parse_progress_flag(arg, opt)) {
       // handled
     } else if (starts_with(arg, "--")) {
@@ -363,9 +347,9 @@ int run_report(int argc, char** argv) {
                               ? scenario::Deck{"<cli>", {}, }
                               : scenario::parse_deck_file(path);
     for (const auto& o : overrides) deck.set(o.key, o.value);
-    // Fold --backend= into the deck before validation: dist.* keys (e.g.
-    // a --transport= flag) are eagerly rejected off a ranks: backend, and
-    // the check must see the backend the run will actually use.
+    // Fold --backend= into the deck before validation: dist.* keys are
+    // eagerly rejected off a ranks: backend, and the check must see the
+    // backend the run will actually use.
     if (!opt.backend_override.empty()) {
       deck.set("backend", opt.backend_override);
     }
@@ -481,8 +465,6 @@ int run_resume(int argc, char** argv) {
       scenario::parse_backend(opt.backend_override);  // validate now
     } else if (starts_with(arg, "--output-dir=")) {
       opt.output_dir = arg.substr(13);
-    } else if (parse_transport_flag(arg, overrides)) {
-      // handled
     } else if (starts_with(arg, "--")) {
       WSMD_REQUIRE(false, "unknown resume option '" << arg << "'");
     } else if (arg.find('=') != std::string::npos) {
@@ -587,8 +569,6 @@ int main(int argc, char** argv) {
         opt.output_dir = arg.substr(13);
       } else if (parse_telemetry_flag(arg, overrides)) {
         // handled
-      } else if (parse_transport_flag(arg, overrides)) {
-        // handled
       } else if (parse_progress_flag(arg, opt)) {
         // handled
       } else if (starts_with(arg, "--")) {
@@ -618,10 +598,9 @@ int main(int argc, char** argv) {
           path.empty() ? scenario::Deck{"<cli>", {}, }
                        : scenario::parse_deck_file(path);
       for (const auto& o : overrides) deck.set(o.key, o.value);
-      // Fold --backend= into the deck before validation: dist.* keys
-      // (e.g. a --transport= flag) are eagerly rejected off a ranks:
-      // backend, and the check must see the backend the run will
-      // actually use. This also makes --print show the effective
+      // Fold --backend= into the deck before validation: dist.* keys are
+      // eagerly rejected off a ranks: backend, and the check must see the
+      // backend the run will actually use. This also makes --print show the effective
       // scenario directly.
       if (!opt.backend_override.empty()) {
         deck.set("backend", opt.backend_override);

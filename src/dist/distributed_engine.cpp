@@ -93,32 +93,30 @@ void DistributedEngine::spawn_ranks() {
     }
   }
 
-  // Shm tier: create every halo pair's shared segment *before* forking —
-  // the ranks inherit the live mappings, and because each segment is
-  // shm_unlinked inside its constructor, no /dev/shm entry survives this
-  // loop, let alone a crashed rank. Pairs come from the state-exchange
-  // radius b+1 (a superset of the F' pairs at radius b); slots are sized
-  // for the largest message either direction can carry — rows x grid
-  // width is an upper bound on halo atoms, swaps included.
+  // Create every halo pair's shared segment *before* forking — the ranks
+  // inherit the live mappings, and because each segment is shm_unlinked
+  // inside its constructor, no /dev/shm entry survives this loop, let
+  // alone a crashed rank. Pairs come from the state-exchange radius b+1
+  // (a superset of the F' pairs at radius b); slots are sized for the
+  // largest message either direction can carry — rows x grid width is an
+  // upper bound on halo atoms, swaps included.
   std::vector<ShmPairSegment> segments;
-  if (config_.transport == HaloTransport::kShm) {
-    const int b = template_.b();
-    const int w = template_.mapping().grid_width();
-    const long pid = static_cast<long>(::getpid());
-    for (const auto& [i, j] : halo_pairs(strips_, b + 1)) {
-      std::size_t slot_bytes = 64;
-      for (const auto& [owner, needer] :
-           {std::pair<int, int>{i, j}, std::pair<int, int>{j, i}}) {
-        const std::size_t fp_rows = static_cast<std::size_t>(
-            halo_rows(strips_, owner, needer, b).rows());
-        const std::size_t st_rows = static_cast<std::size_t>(
-            halo_rows(strips_, owner, needer, b + 1).rows());
-        slot_bytes = std::max(
-            {slot_bytes, fp_rows * static_cast<std::size_t>(w) * 4,
-             st_rows * static_cast<std::size_t>(w) * 24});
-      }
-      segments.emplace_back(pid, i, j, slot_bytes);
+  const int b = template_.b();
+  const int w = template_.mapping().grid_width();
+  const long coordinator_pid = static_cast<long>(::getpid());
+  for (const auto& [i, j] : halo_pairs(strips_, b + 1)) {
+    std::size_t slot_bytes = 64;
+    for (const auto& [owner, needer] :
+         {std::pair<int, int>{i, j}, std::pair<int, int>{j, i}}) {
+      const std::size_t fp_rows = static_cast<std::size_t>(
+          halo_rows(strips_, owner, needer, b).rows());
+      const std::size_t st_rows = static_cast<std::size_t>(
+          halo_rows(strips_, owner, needer, b + 1).rows());
+      slot_bytes =
+          std::max({slot_bytes, fp_rows * static_cast<std::size_t>(w) * 4,
+                    st_rows * static_cast<std::size_t>(w) * 24});
     }
+    segments.emplace_back(coordinator_pid, i, j, slot_bytes);
   }
 
   for (int r = 0; r < m; ++r) {
@@ -186,7 +184,6 @@ void DistributedEngine::spawn_ranks() {
       wc.peer_timeout_ms = config_.step_timeout_ms;
       wc.kill_rank = config_.kill_rank;
       wc.kill_step = config_.kill_step;
-      wc.transport = config_.transport;
       try {
         RankWorker worker(template_, wc, std::move(control),
                           std::move(my_peers));
@@ -626,8 +623,6 @@ engine::ModeledPhaseCost DistributedEngine::modeled_phase_cost() const {
                            template_.mapping().grid_width(),
                            template_.mapping().grid_height(), model) *
       steps / (model.clock_ghz() * 1e9);
-  cost.halo_transport =
-      config_.transport == HaloTransport::kShm ? "shm" : "socket";
   return cost;
 }
 

@@ -8,9 +8,12 @@
 /// by copy-on-write — no construction-time serialization. Each rank owns
 /// a horizontal strip of the core grid (dist::row_strips, the same
 /// partition ShardedWafer uses for threads) and advances only its strip,
-/// exchanging ghost-halo planes with peer ranks over AF_UNIX socketpairs
-/// (see rank_worker.hpp for the in-step protocol). Optionally each rank
-/// runs N shard threads over sub-strips (`ranks:MxN`).
+/// exchanging ghost-halo planes with peer ranks through per-pair
+/// shared-memory rings (see rank_worker.hpp for the in-step protocol).
+/// AF_UNIX socketpairs carry the control plane — commands, replies,
+/// checkpoint scatter/gather, shutdown — and detect a dead peer.
+/// Optionally each rank runs N shard threads over sub-strips
+/// (`ranks:MxN`).
 ///
 /// Determinism contract:
 ///   - Per-atom trajectories are bitwise identical to the serial wafer
@@ -64,10 +67,6 @@ struct DistributedConfig {
   /// kill_rank calls _Exit at the start of step kill_step.
   int kill_rank = -1;
   long kill_step = 0;
-  /// Which tier carries the halo payloads (deck key dist.transport):
-  /// per-pair shared-memory rings (default) or the peer sockets. The
-  /// trajectory is bitwise transport-invariant; only the wire differs.
-  HaloTransport transport = HaloTransport::kShm;
   /// Parent directory for the per-rank scratch files (stderr captures);
   /// empty uses the system temp dir. The runner points this at
   /// --output-dir so diagnostics land next to the run's artifacts without

@@ -71,9 +71,8 @@ void check_peer_alive(const ShmWait& wait, const char* what) {
       throw PeerClosedError("dist shm: peer closed while waiting for " +
                             std::string(what));
     }
-    // r > 0: a queued frame for a later (socket-plane) operation — not
-    // ours to consume; r < 0/EAGAIN: spurious readiness. Either way the
-    // peer is alive.
+    // r > 0: queued bytes, not ours to consume; r < 0/EAGAIN: spurious
+    // readiness. Either way the peer is alive.
   }
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file shm_channel.hpp
-/// Shared-memory halo transport between rank peers (`dist.transport = shm`).
+/// Shared-memory halo transport between rank peers — the only halo carrier.
 ///
 /// For every neighbor pair the coordinator creates one POSIX shm segment
 /// *before* forking, maps it MAP_SHARED, and immediately shm_unlinks it —
@@ -11,8 +11,8 @@
 /// direction, each with two fixed-size slots: halo payloads are memcpy'd
 /// once by the producer and read *in place* by the consumer — zero socket
 /// syscalls and zero intermediate copies on the steady-state path. The
-/// AF_UNIX socket plane stays up as the control plane (handshake,
-/// checkpoint scatter/gather) and as the death canary: the consumer's
+/// AF_UNIX sockets stay up as the control plane (handshake, checkpoint
+/// scatter/gather) and as the death canary: the consumer's
 /// spin-then-sleep wait polls the idle peer socket, so a dead peer
 /// surfaces as PeerClosedError immediately instead of after dist.timeout.
 ///
@@ -40,7 +40,7 @@
 /// (spinning there would starve the very peer being waited on). The
 /// sleeping side registers in a waiter count so the fast path pays no
 /// wake syscall. Waits honor the same `dist.timeout` deadline the socket
-/// transport uses (TimeoutError past the deadline) and re-check the peer
+/// control plane uses (TimeoutError past the deadline) and re-check the peer
 /// socket fd between futex timeout chunks, so a dead peer surfaces as
 /// PeerClosedError within milliseconds instead of at dist.timeout.
 

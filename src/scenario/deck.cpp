@@ -90,6 +90,10 @@ Deck deck_from_entries(
   deck.source = source;
   deck.entries.reserve(entries.size());
   for (const auto& [key, value] : entries) {
+    // Checkpoints of ranks: runs written while halos had two carriers embed
+    // `dist.transport = shm|socket`. Both carriers gave bitwise-identical
+    // trajectories, so dropping the pin changes nothing on resume.
+    if (key == "dist.transport") continue;
     deck.entries.push_back(
         {key, value, static_cast<int>(deck.entries.size()) + 1});
   }

@@ -654,6 +654,39 @@ TEST(Scenario, DistKeysValidateEagerlyAndRoundTrip) {
   }
 }
 
+TEST(Scenario, DistTransportKeyIsRemoved) {
+  // Halos have one carrier; the old selector is rejected by name, in a
+  // deck (file:line blame) and as a CLI override, on any value.
+  try {
+    scenario_from_deck(parse_deck_string(
+        "backend = ranks:2\ndist.transport = shm\n", "t.deck"));
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("t.deck:2"), std::string::npos) << what;
+    EXPECT_NE(what.find("removed"), std::string::npos) << what;
+    EXPECT_NE(what.find("shared memory"), std::string::npos) << what;
+  }
+  Deck deck = parse_deck_string("backend = ranks:2\n", "t.deck");
+  deck.set("dist.transport", "socket");
+  try {
+    scenario_from_deck(deck);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("<cli override>"), std::string::npos) << what;
+    EXPECT_NE(what.find("removed"), std::string::npos) << what;
+  }
+  // A checkpoint-embedded deck that still pins the key loads without it.
+  const Deck embedded = deck_from_entries(
+      {{"backend", "ranks:2"}, {"dist.transport", "socket"}, {"run", "5"}},
+      "<checkpoint>");
+  ASSERT_EQ(embedded.entries.size(), 2u);
+  EXPECT_EQ(embedded.entries[1].key, "run");
+  EXPECT_EQ(embedded.entries[1].line, 2);
+  EXPECT_EQ(scenario_from_deck(embedded).backend, "ranks:2");
+}
+
 TEST(Scenario, BuildEngineHonorsBackendAndOverride) {
   const auto sc = scenario_from_deck(parse_deck_string(
       "element = Ta\ngeometry = slab\nreplicate = 3 3 2\n"

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -302,6 +303,63 @@ TEST(Resume, AnalyticModeResumesBitwiseUnderItsOwnKey) {
       io::read_series_csv_file(base + ".straight.thermo.csv"),
       io::read_series_csv_file(base + ".resumed.thermo.csv"),
       /*from_step=*/6, "analytic thermo");
+  for (const auto* suffix :
+       {".straight.thermo.csv", ".resumed.thermo.csv", ".6.ckpt",
+        ".12.ckpt"}) {
+    std::remove((base + suffix).c_str());
+  }
+}
+
+TEST(Resume, RanksCheckpointPinningTheRetiredTransportKeyResumes) {
+  // Checkpoints of ranks: runs written while halos had two carriers embed
+  // `dist.transport = shm|socket`. Loading the embedded deck drops that
+  // key (both carriers were bitwise identical), so such a checkpoint
+  // resumes and continues the uninterrupted run byte for byte.
+  const std::string base = ::testing::TempDir() + "wsmd_resume_transport";
+  Deck deck = parse_deck_string(
+      "element = Cu\n"
+      "geometry = slab\n"
+      "scale = 64\n"
+      "backend = ranks:2\n"
+      "thermalize = 120\n"
+      "run = 12\n"
+      "thermo_every = 1\n",
+      "<ranks-resume>");
+  deck.set("name", "ranks_resume");
+  deck.set("thermo", base + ".straight.thermo.csv");
+  deck.set("checkpoint.every", "6");
+  deck.set("checkpoint.path", base + ".*.ckpt");
+  run_scenario(scenario_from_deck(deck));
+
+  // Rewrite the step-6 checkpoint the way an older build embedded it.
+  const std::string ckpt_path = base + ".6.ckpt";
+  io::CheckpointData old = io::read_checkpoint_file(ckpt_path);
+  old.deck.emplace_back("dist.transport", "socket");
+  io::write_checkpoint_file(ckpt_path, old);
+
+  const auto ckpt = io::read_checkpoint_file(ckpt_path);
+  Deck rdeck = embedded_deck(ckpt);
+  EXPECT_FALSE(rdeck.has("dist.transport"));
+  rdeck.set("thermo", base + ".resumed.thermo.csv");
+  rdeck.set("checkpoint.every", "0");
+  const auto resumed = resume_scenario(scenario_from_deck(rdeck), ckpt, {});
+  EXPECT_EQ(resumed.resumed_from_step, 6);
+
+  // Byte comparison of the CSV text: the header plus every row from the
+  // resume step on.
+  const auto lines_from = [](const std::string& path, long from_step) {
+    std::ifstream in(path);
+    std::vector<std::string> kept;
+    std::string line;
+    for (bool header = true; std::getline(in, line); header = false) {
+      if (header || std::stol(line) >= from_step) kept.push_back(line);
+    }
+    return kept;
+  };
+  const auto straight = lines_from(base + ".straight.thermo.csv", 6);
+  const auto continued = lines_from(base + ".resumed.thermo.csv", 6);
+  ASSERT_EQ(straight.size(), 8u);  // header + steps 6..12
+  EXPECT_EQ(straight, continued);
   for (const auto* suffix :
        {".straight.thermo.csv", ".resumed.thermo.csv", ".6.ckpt",
         ".12.ckpt"}) {

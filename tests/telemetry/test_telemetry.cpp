@@ -20,20 +20,25 @@
 
 // Binary-wide allocation counter for the zero-allocation test: the
 // disabled instrumentation path (one relaxed atomic load) must never
-// reach the heap.
+// reach the heap. The replacements stay out of line: inlined into a
+// caller, gcc pairs the malloc/free inside them with the new/delete at
+// the call site and reports -Wmismatched-new-delete (seen under
+// -fsanitize=thread at -O1/-O2).
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   void* p = std::malloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace wsmd::telemetry {
 namespace {

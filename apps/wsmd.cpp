@@ -87,7 +87,8 @@ void print_usage(std::FILE* out) {
                "  --set key=value   scenario override (same as a bare\n"
                "                    key=value argument)\n"
                "  --backend=B       backend override for every run\n"
-               "                    (reference|wafer|sharded|sharded:N|\n"
+               "                    (reference|reference:N|sharded|\n"
+               "                    sharded:N|wafer = sharded:1|\n"
                "                    ranks:M|ranks:MxN — M forked rank\n"
                "                    processes with ghost-halo exchange,\n"
                "                    optionally N shard threads each)\n"
@@ -115,8 +116,8 @@ void print_usage(std::FILE* out) {
                "  --list-elements   show available Zhou parameter sets\n"
                "  --help            this text\n"
                "\n"
-               "deck keys: name element pair_style potential geometry\n"
-               "  scale replicate\n"
+               "deck keys: name element pair_style geometry scale\n"
+               "  replicate\n"
                "  vacancy_fraction tilt_angle_deg gb_atoms backend dt\n"
                "  swap_interval rescale_interval seed thermalize\n"
                "  equilibrate ramp quench run xyz xyz_every thermo\n"
@@ -139,8 +140,8 @@ void print_usage(std::FILE* out) {
 void print_scenario(const wsmd::scenario::Scenario& sc) {
   using wsmd::format;
   std::printf("scenario %s:\n", sc.name.c_str());
-  std::printf("  element   = %s (%s, potential %s)\n", sc.element.c_str(),
-              sc.pair_style.c_str(), sc.potential.c_str());
+  std::printf("  element   = %s (%s, profile tables)\n", sc.element.c_str(),
+              sc.pair_style.c_str());
   std::printf("  geometry  = %s\n", sc.geometry.c_str());
   if (sc.replicate[0] > 0) {
     std::printf("  replicate = %d %d %d\n", sc.replicate[0], sc.replicate[1],

@@ -30,6 +30,7 @@
 #include "md/simulation.hpp"
 #include "util/bench_json.hpp"
 #include "util/spline.hpp"
+#include "util/units.hpp"
 #include "wse/multicast.hpp"
 
 namespace {
@@ -183,6 +184,137 @@ double evals_per_second(const Fn& fn) {
   return best;
 }
 
+/// The FP32 wafer step evaluated from the analytic functional form: the
+/// comparator for the profile tables' "wafer soa vs analytic" ratio floors.
+/// core::WseMd evaluates only from its profile tables, so this replays its
+/// phases 1-4 over the same mapping with the per-candidate work the tables
+/// replaced: gather the clipped (2b+1)² neighbourhood in row-major order,
+/// FP32 minimum image and r² accept, virtual density/embed/pair/
+/// density_deriv calls with a per-pair sqrt, then leap-frog integration.
+class AnalyticWaferStep {
+ public:
+  AnalyticWaferStep(const core::WseMd& wafer, const lattice::Structure& s,
+                    const eam::EamPotential& pot, double dt)
+      : mapping_(wafer.mapping()),
+        b_(wafer.b()),
+        pot_(pot),
+        box_(s.box),
+        types_(s.types),
+        dt_(static_cast<float>(dt)) {
+    for (const Vec3d& r : wafer.positions()) pos_.emplace_back(r);
+    for (const Vec3d& v : wafer.velocities()) vel_.emplace_back(v);
+    new_pos_ = pos_;
+    new_vel_ = vel_;
+    fprime_.assign(pos_.size(), 0.0f);
+    const auto span = static_cast<std::size_t>(2 * b_ + 1);
+    stride_ = span * span - 1;
+    rows_.resize(pos_.size() * stride_);
+    counts_.assign(pos_.size(), 0);
+    const Vec3d len = box_.lengths();
+    for (std::size_t a = 0; a < 3; ++a) {
+      len_[a] = static_cast<float>(len[a]);
+      inv_len_[a] = 1.0f / len_[a];
+    }
+  }
+
+  /// One timestep; returns the potential energy (a data dependence the
+  /// optimizer cannot drop).
+  double step() {
+    const int w = mapping_.grid_width();
+    const int h = mapping_.grid_height();
+    const auto rc2 = static_cast<float>(pot_.cutoff() * pot_.cutoff());
+    double pe_embed = 0.0;
+    float pe_pair = 0.0f;
+    for (int cy = 0; cy < h; ++cy) {
+      for (int cx = 0; cx < w; ++cx) {
+        const long ai = mapping_.atom_at(cx, cy);
+        if (ai < 0) continue;
+        const auto i = static_cast<std::size_t>(ai);
+        gathered_.clear();
+        for (int y = std::max(0, cy - b_); y <= std::min(h - 1, cy + b_);
+             ++y) {
+          for (int x = std::max(0, cx - b_); x <= std::min(w - 1, cx + b_);
+               ++x) {
+            if (x == cx && y == cy) continue;
+            const long a = mapping_.atom_at(x, y);
+            if (a >= 0) gathered_.push_back(static_cast<std::uint32_t>(a));
+          }
+        }
+        std::uint32_t* row = rows_.data() + i * stride_;
+        std::uint32_t m = 0;
+        float rho = 0.0f;
+        for (const std::uint32_t j : gathered_) {
+          const Vec3f d = minimum_image(pos_[i], pos_[j]);
+          const float r2 = dot(d, d);
+          if (r2 >= rc2) continue;
+          row[m++] = j;
+          rho += static_cast<float>(
+              pot_.density(types_[j], std::sqrt(static_cast<double>(r2))));
+        }
+        counts_[i] = m;
+        pe_embed += pot_.embed(types_[i], rho);
+        fprime_[i] = static_cast<float>(pot_.embed_deriv(types_[i], rho));
+      }
+    }
+    for (int cy = 0; cy < h; ++cy) {
+      for (int cx = 0; cx < w; ++cx) {
+        const long ai = mapping_.atom_at(cx, cy);
+        if (ai < 0) continue;
+        const auto i = static_cast<std::size_t>(ai);
+        const int ti = types_[i];
+        const Vec3f ri = pos_[i];
+        const std::uint32_t* row = rows_.data() + i * stride_;
+        Vec3f force{0, 0, 0};
+        for (std::uint32_t k = 0; k < counts_[i]; ++k) {
+          const std::uint32_t j = row[k];
+          const Vec3f d = minimum_image(ri, pos_[j]);
+          const double rd = std::sqrt(static_cast<double>(dot(d, d)));
+          const float fmag =
+              static_cast<float>(pot_.pair_deriv(ti, types_[j], rd)) +
+              fprime_[i] *
+                  static_cast<float>(pot_.density_deriv(types_[j], rd)) +
+              fprime_[j] * static_cast<float>(pot_.density_deriv(ti, rd));
+          pe_pair += static_cast<float>(pot_.pair(ti, types_[j], rd));
+          force += d * (fmag / static_cast<float>(rd));
+        }
+        const auto inv_m = static_cast<float>(1.0 / pot_.mass(ti) *
+                                              units::kForceToAccel);
+        new_vel_[i] = vel_[i] + (force * inv_m) * dt_;
+        new_pos_[i] = Vec3f(box_.wrap(Vec3d(ri + new_vel_[i] * dt_)));
+      }
+    }
+    pos_.swap(new_pos_);
+    vel_.swap(new_vel_);
+    return pe_embed + 0.5 * pe_pair;
+  }
+
+ private:
+  /// FP32 rj - ri; nearbyint matches the SIMD sieve's round-half-even.
+  Vec3f minimum_image(const Vec3f& ri, const Vec3f& rj) const {
+    Vec3f d = rj - ri;
+    for (std::size_t a = 0; a < 3; ++a) {
+      if (!box_.periodic[a]) continue;
+      d[a] -= std::nearbyint(d[a] * inv_len_[a]) * len_[a];
+    }
+    return d;
+  }
+
+  core::AtomMapping mapping_;
+  int b_;
+  const eam::EamPotential& pot_;
+  Box box_;
+  std::vector<int> types_;
+  float dt_;
+  Vec3f len_{0, 0, 0};
+  Vec3f inv_len_{0, 0, 0};
+  std::vector<Vec3f> pos_, vel_, new_pos_, new_vel_;
+  std::vector<float> fprime_;
+  std::vector<std::uint32_t> gathered_;
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::uint32_t> counts_;
+  std::size_t stride_ = 0;
+};
+
 void emit_pairs_bench() {
   const auto p = eam::zhou_parameters("Ta");
 
@@ -222,24 +354,19 @@ void emit_pairs_bench() {
                                 });
   simd::clear_tier_override();
 
-  // FP32 wafer step (phases 1-4): serial WseMd on a paper-slab miniature.
-  // The tabulated config runs the batched SoA phase kernels; analytic runs
-  // per-candidate virtual calls. pairs = accepted interactions per step.
+  // FP32 wafer step (phases 1-4): serial WseMd on a paper-slab miniature,
+  // which runs the batched SoA phase kernels over its profile tables; the
+  // analytic comparator replays the same step through virtual calls.
+  // pairs = accepted interactions per step.
   const auto slab = lattice::paper_slab("Ta", 48);
-  core::WseMdConfig tab_cfg;
-  tab_cfg.mapping.cell_size = p.lattice_constant();
-  core::WseMdConfig ana_cfg = tab_cfg;
-  ana_cfg.tabulated = false;
-  core::WseMd tab(slab, pot, tab_cfg);
-  core::WseMd ana(slab, pot, ana_cfg);
+  core::WseMdConfig cfg;
+  cfg.mapping.cell_size = p.lattice_constant();
+  core::WseMd tab(slab, pot, cfg);
   Rng wrng(13);
   tab.thermalize(290.0, wrng);
-  ana.set_velocities(tab.velocities());
-  const auto count_pairs = [](core::WseMd& eng) {
-    return eng.step().mean_interactions *
-           static_cast<double>(eng.atom_count());
-  };
-  const double wafer_pairs = count_pairs(tab);
+  AnalyticWaferStep ana(tab, slab, *pot, cfg.dt);
+  const double wafer_pairs =
+      tab.step().mean_interactions * static_cast<double>(tab.atom_count());
   const double wafer_soa =
       wafer_pairs * evals_per_second([&] { sink += tab.step().max_cycles; });
   simd::set_tier_override(simd::Tier::kScalar);
@@ -247,7 +374,7 @@ void emit_pairs_bench() {
       wafer_pairs * evals_per_second([&] { sink += tab.step().max_cycles; });
   simd::clear_tier_override();
   const double wafer_analytic =
-      wafer_pairs * evals_per_second([&] { sink += ana.step().max_cycles; });
+      wafer_pairs * evals_per_second([&] { sink += ana.step(); });
 
   BenchJson out("kernels");
   out.meta()

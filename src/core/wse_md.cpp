@@ -17,19 +17,14 @@ WseMd::WseMd(const lattice::Structure& s, eam::EamPotentialPtr potential,
       mapping_(AtomMapping::for_structure(s, config.mapping)) {
   WSMD_REQUIRE(potential_ != nullptr, "WseMd needs a potential");
   rcut_ = potential_->cutoff();
-  if (config_.tabulated) {
-    // The paper's per-core table copies: one FP32 profile shared by every
-    // worker (the host simulation holds one copy; the real machine
-    // replicates it into each tile's SRAM). Deterministic build — restart
-    // and shard decomposition cannot perturb it.
-    profile_ = std::make_shared<eam::ProfileF32>(*potential_);
-  }
-  box_len_f_ = Vec3f(box_.lengths());
+  // One FP32 profile shared by every worker (the host simulation holds one
+  // copy; the real machine replicates it into each tile's SRAM).
+  // Deterministic build — restart and shard decomposition cannot perturb it.
+  profile_ = std::make_shared<eam::ProfileF32>(*potential_);
+  const Vec3d len = box_.lengths();
   for (std::size_t a = 0; a < 3; ++a) {
-    box_periodic_[a] = box_.periodic[a];
-    box_inv_len_f_[a] = 1.0f / box_len_f_[a];
-    sbox_.len[a] = box_len_f_[a];
-    sbox_.inv_len[a] = box_periodic_[a] ? box_inv_len_f_[a] : 0.0f;
+    sbox_.len[a] = static_cast<float>(len[a]);
+    sbox_.inv_len[a] = box_.periodic[a] ? 1.0f / sbox_.len[a] : 0.0f;
   }
 
   positions_.resize(s.size());
@@ -251,11 +246,10 @@ void WseMd::begin_step(StepWorkspace& ws) const {
 void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
   telemetry::ScopedSpan span("wse.density");
   const auto rc2 = static_cast<float>(rcut_ * rcut_);
-  const eam::ProfileF32* prof = profile_.get();
+  const eam::ProfileF32& prof = *profile_;
   const bool pairwise_only = potential_->is_pairwise_only();
   const simd::KernelTable& kern = simd::kernels();
-  eam::ProfileF32::Raw raw{};
-  if (prof != nullptr) raw = prof->raw();
+  const eam::ProfileF32::Raw raw = prof.raw();
   const float* px = positions_.x();
   const float* py = positions_.y();
   const float* pz = positions_.z();
@@ -273,46 +267,23 @@ void WseMd::density_phase(const ShardRect& shard, StepWorkspace& ws) {
       ws.candidates[i] = static_cast<std::uint32_t>(gathered.size());
       std::uint32_t* row = ws.neighbor_idx.data() + i * ws.neighbor_stride;
       const Vec3f ri = positions_.get(i);
-      float rho = 0.0f;
-      if (prof != nullptr) {
-        // Batched sieve: 8-wide accept test, accepted indices compacted
-        // into the row; then one 8-wide table sweep over the survivors.
-        const std::size_t m =
-            kern.sieve_f32(px, py, pz, ri.x, ri.y, ri.z, gathered.data(),
-                           gathered.size(), sbox_, rc2, row,
-                           r2_scratch.data());
-        ws.neighbor_count[i] = static_cast<std::uint32_t>(m);
-        if (!pairwise_only) {
-          rho = kern.rho_row_f32(raw, types_.data(), row, r2_scratch.data(),
-                                 m);
-        }
-      } else {
-        // Analytic path: per-candidate accept + direct potential calls.
-        std::uint32_t m = 0;
-        for (std::uint32_t j : gathered) {
-          const Vec3f d = minimum_image_f(ri, positions_.get(j));
-          const float r2 = dot(d, d);
-          if (r2 >= rc2) continue;
-          row[m++] = j;
-          if (pairwise_only) continue;  // phase 3 skipped for pair styles
-          rho += static_cast<float>(potential_->density(
-              types_[j], std::sqrt(static_cast<double>(r2))));
-        }
-        ws.neighbor_count[i] = m;
-      }
-      if (pairwise_only) {
+      // Batched sieve: 8-wide accept test, accepted indices compacted into
+      // the row; then one 8-wide table sweep over the survivors.
+      const std::size_t m =
+          kern.sieve_f32(px, py, pz, ri.x, ri.y, ri.z, gathered.data(),
+                         gathered.size(), sbox_, rc2, row, r2_scratch.data());
+      ws.neighbor_count[i] = static_cast<std::uint32_t>(m);
+      if (pairwise_only) {  // phase 3 skipped for pair styles
         ws.pe_embed[i] = 0.0;
         fprime_[i] = 0.0f;
-      } else if (prof != nullptr) {
-        float f, fp;
-        prof->embed(types_[i], rho, f, fp);
-        ws.pe_embed[i] = f;
-        fprime_[i] = fp;
-      } else {
-        ws.pe_embed[i] = potential_->embed(types_[i], rho);
-        fprime_[i] =
-            static_cast<float>(potential_->embed_deriv(types_[i], rho));
+        continue;
       }
+      const float rho =
+          kern.rho_row_f32(raw, types_.data(), row, r2_scratch.data(), m);
+      float f, fp;
+      prof.embed(types_[i], rho, f, fp);
+      ws.pe_embed[i] = f;
+      fprime_[i] = fp;
     }
   }
 }
@@ -322,11 +293,9 @@ void WseMd::force_phase(const ShardRect& shard, StepWorkspace& ws) const {
   // F' of every neighborhood is available now, as after the embedding
   // exchange on the real machine.
   const auto dt = static_cast<float>(config_.dt);
-  const eam::ProfileF32* prof = profile_.get();
   const bool pairwise_only = potential_->is_pairwise_only();
   const simd::KernelTable& kern = simd::kernels();
-  eam::ProfileF32::Raw raw{};
-  if (prof != nullptr) raw = prof->raw();
+  const eam::ProfileF32::Raw raw = profile_->raw();
   const float* px = positions_.x();
   const float* py = positions_.y();
   const float* pz = positions_.z();
@@ -336,44 +305,19 @@ void WseMd::force_phase(const ShardRect& shard, StepWorkspace& ws) const {
       if (ai < 0) continue;
       const auto i = static_cast<std::size_t>(ai);
       const Vec3f ri = positions_.get(i);
-      const float fprime_i = fprime_[i];
-      const int ti = types_[i];
       const std::uint32_t* row =
           ws.neighbor_idx.data() + i * ws.neighbor_stride;
       const std::uint32_t m = ws.neighbor_count[i];
-      Vec3f force{0, 0, 0};
-      float pair_acc = 0.0f;
-      if (prof != nullptr) {
-        // Batched force row: re-gathers neighbor positions and recomputes
-        // the sieve's displacement bitwise, then 8-wide table sweeps.
-        const simd::PairAccumF32 acc = kern.force_row_f32(
-            raw, px, py, pz, ri.x, ri.y, ri.z, sbox_, types_.data(),
-            fprime_.data(), fprime_i, ti, row, m, pairwise_only);
-        force = Vec3f{acc.fx, acc.fy, acc.fz};
-        pair_acc = acc.phi;
-      } else {
-        for (std::uint32_t k = 0; k < m; ++k) {
-          const std::uint32_t j = row[k];
-          const Vec3f d = minimum_image_f(ri, positions_.get(j));
-          const float r2 = dot(d, d);
-          const double rd = std::sqrt(static_cast<double>(r2));
-          pair_acc += static_cast<float>(potential_->pair(ti, types_[j], rd));
-          float fmag =
-              static_cast<float>(potential_->pair_deriv(ti, types_[j], rd));
-          if (!pairwise_only) {
-            fmag += fprime_i * static_cast<float>(
-                                   potential_->density_deriv(types_[j], rd)) +
-                    fprime_[j] * static_cast<float>(
-                                     potential_->density_deriv(ti, rd));
-          }
-          force += d * (fmag / static_cast<float>(rd));
-        }
-      }
-      ws.pair_half[i] = pair_acc;
+      // Batched force row: re-gathers neighbor positions and recomputes the
+      // sieve's displacement bitwise, then 8-wide table sweeps.
+      const simd::PairAccumF32 acc = kern.force_row_f32(
+          raw, px, py, pz, ri.x, ri.y, ri.z, sbox_, types_.data(),
+          fprime_.data(), fprime_[i], types_[i], row, m, pairwise_only);
+      ws.pair_half[i] = acc.phi;
 
       const auto inv_m = static_cast<float>(
           1.0 / potential_->mass(types_[i]) * units::kForceToAccel);
-      const Vec3f a = force * inv_m;
+      const Vec3f a = Vec3f{acc.fx, acc.fy, acc.fz} * inv_m;
       const Vec3f v_new = velocities_.get(i) + a * dt;
       ws.new_velocities.set(i, v_new);
       ws.new_positions.set(i, Vec3f(box_.wrap(Vec3d(ri + v_new * dt))));

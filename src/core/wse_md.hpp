@@ -5,7 +5,11 @@
 ///
 /// Each core is a worker owning at most one atom (id, position, velocity,
 /// FP32 — the paper's wafer kernels run single precision) plus local copies
-/// of the potential tables. A timestep executes the paper's five phases:
+/// of the potential tables: phases 2-4 evaluate EAM only from a flattened
+/// FP32 r²-indexed eam::PotentialProfile built once at construction (the
+/// analytic functional form is the profile's source and, through the FP64
+/// md::EamForceKernel, the test oracle — never evaluated per pair here).
+/// A timestep executes the paper's five phases:
 ///
 ///   1. Candidate exchange — multicast positions through the (2b+1)^2
 ///      neighborhood (systolic marching multicast; the wavelet-level
@@ -54,13 +58,6 @@ struct WseMdConfig {
   /// Neighborhood radius override; 0 derives the radius from the mapping
   /// (required_b plus one hop of slack for thermal motion).
   int b_override = 0;
-  /// Evaluate the phase-2..4 kernels from a flattened FP32 r²-indexed
-  /// PotentialProfile (eam/profile) — the paper's per-core table copies —
-  /// instead of virtual potential calls with a per-pair sqrt. Built once at
-  /// construction; deterministic, so checkpoint restore and serial-vs-
-  /// sharded parity are unaffected. `false` keeps the analytic path
-  /// (scenario key `potential = analytic`).
-  bool tabulated = true;
 };
 
 /// Per-step accounting, mirroring the counters the paper reports.
@@ -340,39 +337,21 @@ class WseMd {
   };
   const CumulativeStats& cumulative_stats() const { return cum_; }
 
-  /// The flattened FP32 evaluation tables (null on the analytic path).
-  const eam::ProfileF32* profile() const { return profile_.get(); }
-
  private:
   void gather_neighborhood(int cx, int cy,
                            std::vector<std::uint32_t>& out) const;
   WseStepStats do_timestep();
 
-  /// FP32 minimum-image displacement rj - ri (analytic path; the tabulated
-  /// path runs the batched sieve instead). The candidate loops run this for
-  /// every gathered candidate, so it stays entirely in FP32. nearbyint —
-  /// not round — so the correction matches the SIMD kernels' round-half-
-  /// even `_mm256_round_ps` convention.
-  Vec3f minimum_image_f(const Vec3f& ri, const Vec3f& rj) const {
-    Vec3f d = rj - ri;
-    for (std::size_t a = 0; a < 3; ++a) {
-      if (!box_periodic_[a]) continue;
-      d[a] -= std::nearbyint(d[a] * box_inv_len_f_[a]) * box_len_f_[a];
-    }
-    return d;
-  }
   /// Row-major serial PE reduction over the phase outputs (shared by
   /// commit_step and the construction-time energy evaluation).
   double reduce_potential_energy(const StepWorkspace& ws) const;
 
   WseMdConfig config_;
   eam::EamPotentialPtr potential_;
-  eam::ProfileF32Ptr profile_;  ///< set when config_.tabulated
+  /// The paper's per-core table copies: one FP32 profile shared by every
+  /// worker (the real machine replicates it into each tile's SRAM).
+  eam::ProfileF32Ptr profile_;
   Box box_;
-  // FP32 copies of the box geometry for the per-candidate minimum image.
-  Vec3f box_len_f_{0, 0, 0};
-  Vec3f box_inv_len_f_{0, 0, 0};
-  std::array<bool, 3> box_periodic_{false, false, false};
   /// Branch-free box view for the SIMD sieve (inv_len = 0 on open axes).
   simd::BoxF32 sbox_{{0, 0, 0}, {0, 0, 0}};
   AtomMapping mapping_;

@@ -7,7 +7,7 @@
 /// tables, mapping), then forks M rank processes that inherit it bitwise
 /// by copy-on-write — no construction-time serialization. Each rank owns
 /// a horizontal strip of the core grid (dist::row_strips, the same
-/// partition ShardedWafer uses for threads) and advances only its strip,
+/// partition WaferEngine uses for threads) and advances only its strip,
 /// exchanging ghost-halo planes with peer ranks through per-pair
 /// shared-memory rings (see rank_worker.hpp for the in-step protocol).
 /// AF_UNIX socketpairs carry the control plane — commands, replies,

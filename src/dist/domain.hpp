@@ -5,7 +5,7 @@
 /// backend (and, for the strip arithmetic, the thread-sharded one).
 ///
 /// The core grid splits into M horizontal strips — one per rank process —
-/// exactly like ShardedWafer's per-thread row strips, so `ranks:M` and
+/// exactly like WaferEngine's per-thread row strips, so `ranks:M` and
 /// `sharded:N` share one partition function and one modeled ghost-cost
 /// formula. A rank owns the atoms mapped to the cores of its strip and
 /// holds a read-only ghost copy of the rows within the neighborhood radius
@@ -68,7 +68,7 @@ std::vector<std::uint32_t> atoms_in_rows(const core::AtomMapping& mapping,
 
 /// Modeled cycles per step spent refreshing the strips' ghost halos (two
 /// neighborhood exchanges per step cross each strip boundary: candidate
-/// positions and embedding derivatives). Shared by ShardedWafer and
+/// positions and embedding derivatives). Shared by WaferEngine and
 /// DistributedEngine so `wsmd report` joins measured halo seconds against
 /// one prediction regardless of backend.
 double halo_cycles_per_step(const std::vector<core::ShardRect>& strips, int b,

@@ -1,16 +1,20 @@
 #pragma once
 
 /// \file engine.hpp
-/// Unified MD engine interface (backends: reference FP64, serial wafer,
-/// sharded wafer).
+/// Unified MD engine interface (backends: FP64 reference, the wafer
+/// engine on per-thread shards, and forked rank processes).
 ///
-/// The repo grows three ways of advancing the same physical system:
+/// The repo has three ways of advancing the same physical system:
 ///
-///   - md::Simulation   — FP64 reference ("LAMMPS role"), ground truth;
-///   - core::WseMd      — functional one-atom-per-core wafer engine, FP32,
-///                        with modeled cycle accounting;
-///   - ShardedWafer     — the wafer engine partitioned into per-thread
-///                        rectangular shards (see sharded_wafer.hpp).
+///   - md::Simulation          — FP64 reference ("LAMMPS role"), ground
+///                               truth;
+///   - WaferEngine             — core::WseMd, the functional
+///                               one-atom-per-core FP32 wafer engine with
+///                               modeled cycle accounting, run over
+///                               per-thread row shards (wafer_engine.hpp;
+///                               one thread = the serial sweep);
+///   - dist::DistributedEngine — the same phases over forked rank
+///                               processes exchanging ghost halos.
 ///
 /// `Engine` is the small common surface the benchmarks, examples, and
 /// cross-engine tests drive: thermalize, step/run with a per-step callback,
@@ -76,7 +80,7 @@ struct State {
   /// Reference backend: Verlet-list anchor positions (empty otherwise).
   std::vector<Vec3d> neighbor_anchor;
 
-  /// Wafer backends (serial and sharded); unused when has_wafer is false.
+  /// Wafer backends (threaded and ranks); unused when has_wafer is false.
   bool has_wafer = false;
   double potential_energy = 0.0;  ///< committed PE (pre-step convention)
   double elapsed_seconds = 0.0;   ///< modeled wafer clock
@@ -171,14 +175,13 @@ class Engine {
 /// Backend selector for the factory.
 enum class Backend {
   kReference,     ///< md::Simulation, FP64
-  kWafer,         ///< core::WseMd, serial sweep
-  kShardedWafer,  ///< core::WseMd phases over per-thread shards
+  kShardedWafer,  ///< WaferEngine: core::WseMd phases over thread shards
   kRanks,         ///< dist::DistributedEngine, M forked rank processes
 };
 
 struct EngineConfig {
   md::SimulationConfig reference;  ///< used by kReference
-  core::WseMdConfig wafer;         ///< used by kWafer / kShardedWafer / kRanks
+  core::WseMdConfig wafer;         ///< used by kShardedWafer / kRanks
   int threads = 1;                 ///< kShardedWafer worker count (0 = auto)
 
   // kRanks only (see dist::DistributedConfig for semantics).

@@ -1,30 +1,97 @@
 #include "engine/wafer_engine.hpp"
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
+#include "dist/domain.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace wsmd::engine {
 
+namespace {
+
+int resolve_threads(int requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+}  // namespace
+
 WaferEngine::WaferEngine(const lattice::Structure& s,
                          eam::EamPotentialPtr potential,
-                         core::WseMdConfig config)
-    : md_(s, std::move(potential), config) {}
+                         core::WseMdConfig config, int threads)
+    : md_(s, std::move(potential), config), pool_(resolve_threads(threads)) {
+  // Same partition the distributed backend uses for rank strips — one
+  // function, one modeled ghost-cost formula (dist::domain).
+  shards_ = dist::row_strips(md_.mapping().grid_width(),
+                             md_.mapping().grid_height(), pool_.size());
+  cum_load_.resize(shards_.size());
+}
+
+void WaferEngine::run_sharded(const std::function<void(int)>& task) {
+  if (!telemetry::enabled()) {
+    pool_.run(task);
+    return;
+  }
+  busy_seconds_.assign(static_cast<std::size_t>(pool_.size()), 0.0);
+  const auto round_start = std::chrono::steady_clock::now();
+  pool_.run([&](int t) {
+    const auto busy_start = std::chrono::steady_clock::now();
+    task(t);
+    busy_seconds_[static_cast<std::size_t>(t)] = seconds_since(busy_start);
+  });
+  const double round = seconds_since(round_start);
+  // Each worker waits from the end of its own work until the slowest one
+  // finishes the round (the implicit barrier between pool_.run calls).
+  double wait = 0.0;
+  for (std::size_t t = 0; t < busy_seconds_.size(); ++t) {
+    const double busy = busy_seconds_[t];
+    const double worker_wait = std::max(0.0, round - busy);
+    cum_load_[t].busy_seconds += busy;
+    cum_load_[t].wait_seconds += worker_wait;
+    wait += worker_wait;
+  }
+  telemetry::add_span_time("shard.barrier_wait", wait,
+                           static_cast<std::uint64_t>(pool_.size()));
+}
 
 Thermo WaferEngine::step() {
-  last_ = md_.step();
+  md_.begin_step(ws_);
+  run_sharded([&](int t) {
+    md_.density_phase(shards_[static_cast<std::size_t>(t)], ws_);
+  });
+  // Implicit barrier: every F' is published before any force kernel reads.
+  run_sharded([&](int t) {
+    md_.force_phase(shards_[static_cast<std::size_t>(t)], ws_);
+  });
+  // Serial tail: commit integrated state and reduce in row-major order so
+  // results are bitwise independent of the decomposition.
+  const bool swap_now = md_.commit_step(ws_);
+  std::size_t applied = 0;
+  if (swap_now) {
+    run_sharded([&](int t) {
+      md_.swap_select(shards_[static_cast<std::size_t>(t)], ws_.partner);
+    });
+    applied = md_.swap_commit(ws_.partner);
+  }
+  last_ = md_.finish_step(ws_, applied, swap_now);
   return thermo();
 }
 
-Thermo WaferEngine::run(long n, const StepCallback& callback) {
-  if (!callback) {
-    last_ = md_.run(static_cast<int>(n));
-  } else {
-    md_.run(static_cast<int>(n), [&](const core::WseStepStats& stats) {
-      last_ = stats;
-      callback(thermo());
-    });
-  }
-  return thermo();
+double WaferEngine::halo_cycles_per_step() const {
+  return dist::halo_cycles_per_step(shards_, md_.b(),
+                                    md_.mapping().grid_width(),
+                                    md_.mapping().grid_height(),
+                                    md_.config().cost_model);
 }
 
 State WaferEngine::snapshot() const {
@@ -108,6 +175,8 @@ ModeledPhaseCost WaferEngine::modeled_phase_cost() const {
       cost.total_seconds /
       (steps + static_cast<double>(cost.swap_steps));
   cost.swap_seconds = mean_step_seconds * static_cast<double>(cost.swap_steps);
+  cost.halo_seconds = halo_cycles_per_step() * steps /
+                      (model.clock_ghz() * 1e9);
   return cost;
 }
 

@@ -39,11 +39,14 @@ namespace wsmd::io {
 /// change to the embedded deck's semantics; readers reject other versions
 /// with a clear error instead of guessing.
 ///
-/// v2: the embedded deck pins `potential` / `pair_style`. A v1 checkpoint
-/// carries neither, and the runs that wrote it evaluated forces through
-/// the then-only analytic path — resolving the missing key to today's
-/// `tabulated` default would silently switch the evaluation kernels under
-/// a resumed trajectory, so v1 files are rejected instead.
+/// v2: the embedded deck pins `pair_style`. A v1 checkpoint does not, and
+/// the runs that wrote it evaluated forces through the then-only analytic
+/// path, which is gone — continuing them on the profile tables would
+/// silently switch the evaluation kernels under a resumed trajectory, so
+/// v1 files are rejected. v2 files written while the analytic path still
+/// existed also pin `potential`: `tabulated` is dropped on load (it is the
+/// only path left), `analytic` is rejected for the same reason as v1
+/// (scenario::deck_from_entries).
 inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Little typed writer over a binary ostream. Strings and vectors are

@@ -55,18 +55,15 @@ double EamForceKernel::compute(AtomSystem& system,
                                engine::ShardPool* pool, EvalPath path) {
   WSMD_REQUIRE(neighbors.atom_count() == system.size(),
                "neighbor list built for a different atom count");
-  if (profile != nullptr) {
-    if (path == EvalPath::kPairwise) {
-      return compute_pairwise(system, neighbors, *profile);
-    }
-    return compute_batched(system, neighbors, *profile, pool);
+  if (profile == nullptr) return compute_analytic(system, neighbors);
+  if (path == EvalPath::kPairwise) {
+    return compute_pairwise(system, neighbors, *profile);
   }
-  return compute_analytic(system, neighbors, pool);
+  return compute_batched(system, neighbors, *profile, pool);
 }
 
 double EamForceKernel::compute_analytic(AtomSystem& system,
-                                        const NeighborList& neighbors,
-                                        engine::ShardPool* pool) {
+                                        const NeighborList& neighbors) {
   const auto& pot = system.potential();
   const auto& pos = system.positions();
   const auto& types = system.types();
@@ -80,67 +77,47 @@ double EamForceKernel::compute_analytic(AtomSystem& system,
   auto& forces = system.forces();
   forces.resize(n);
 
-  const std::size_t ntiles = (n + kForceTile - 1) / kForceTile;
-  tile_embed_.assign(ntiles, 0.0);
-  tile_pair_.assign(ntiles, 0.0);
-
   // Pass 1: densities and embedding derivatives.
+  e_embed_ = 0.0;
   rho_.assign(n, 0.0);
   fprime_.assign(n, 0.0);
   if (!pairwise_only) {
-    for_tiles(pool, ntiles, [&](std::size_t t) {
-      const std::size_t i0 = t * kForceTile;
-      const std::size_t i1 = i0 + kForceTile < n ? i0 + kForceTile : n;
-      double embed_acc = 0.0;
-      for (std::size_t i = i0; i < i1; ++i) {
-        double rho = 0.0;
-        for (std::size_t j : neighbors.neighbors(i)) {
-          const Vec3d d = box.minimum_image(pos[i], pos[j]);
-          const double r2 = norm2(d);
-          if (r2 >= rc2) continue;
-          rho += pot.density(types[j], std::sqrt(r2));
-        }
-        rho_[i] = rho;
-        embed_acc += pot.embed(types[i], rho);
-        fprime_[i] = pot.embed_deriv(types[i], rho);
-      }
-      tile_embed_[t] = embed_acc;
-    });
-  }
-  // for_tiles barrier: every fprime_[j] is published before pass 2 reads it.
-
-  // Pass 2: pair + embedding forces.
-  for_tiles(pool, ntiles, [&](std::size_t t) {
-    const std::size_t i0 = t * kForceTile;
-    const std::size_t i1 = i0 + kForceTile < n ? i0 + kForceTile : n;
-    double pair_acc = 0.0;
-    for (std::size_t i = i0; i < i1; ++i) {
-      Vec3d f{0, 0, 0};
+    for (std::size_t i = 0; i < n; ++i) {
+      double rho = 0.0;
       for (std::size_t j : neighbors.neighbors(i)) {
-        const Vec3d d = box.minimum_image(pos[i], pos[j]);  // rj - ri
+        const Vec3d d = box.minimum_image(pos[i], pos[j]);
         const double r2 = norm2(d);
         if (r2 >= rc2) continue;
-        const double r = std::sqrt(r2);
-        pair_acc += pot.pair(types[i], types[j], r);
-        double fmag = pot.pair_deriv(types[i], types[j], r);
-        if (!pairwise_only) {
-          fmag += fprime_[i] * pot.density_deriv(types[j], r) +
-                  fprime_[j] * pot.density_deriv(types[i], r);
-        }
-        // Force on i: -dU/dr * unit(ri - rj) == +fmag * unit(rj - ri) ...
-        // with fmag = dU/dr. Writing it via d = rj - ri keeps the signs
-        // compact.
-        f += d * (fmag / r);
+        rho += pot.density(types[j], std::sqrt(r2));
       }
-      forces[i] = f;
+      rho_[i] = rho;
+      e_embed_ += pot.embed(types[i], rho);
+      fprime_[i] = pot.embed_deriv(types[i], rho);
     }
-    tile_pair_[t] = pair_acc;
-  });
+  }
 
-  e_embed_ = 0.0;
-  for (double e : tile_embed_) e_embed_ += e;
+  // Pass 2: pair + embedding forces.
   double pair_sum = 0.0;
-  for (double e : tile_pair_) pair_sum += e;
+  for (std::size_t i = 0; i < n; ++i) {
+    Vec3d f{0, 0, 0};
+    for (std::size_t j : neighbors.neighbors(i)) {
+      const Vec3d d = box.minimum_image(pos[i], pos[j]);  // rj - ri
+      const double r2 = norm2(d);
+      if (r2 >= rc2) continue;
+      const double r = std::sqrt(r2);
+      pair_sum += pot.pair(types[i], types[j], r);
+      double fmag = pot.pair_deriv(types[i], types[j], r);
+      if (!pairwise_only) {
+        fmag += fprime_[i] * pot.density_deriv(types[j], r) +
+                fprime_[j] * pot.density_deriv(types[i], r);
+      }
+      // Force on i: -dU/dr * unit(ri - rj) == +fmag * unit(rj - ri) ...
+      // with fmag = dU/dr. Writing it via d = rj - ri keeps the signs
+      // compact.
+      f += d * (fmag / r);
+    }
+    forces[i] = f;
+  }
   e_pair_ = 0.5 * pair_sum;  // full list counts each pair twice
   return e_pair_ + e_embed_;
 }

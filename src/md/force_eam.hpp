@@ -12,8 +12,9 @@
 /// the paper's per-core kernel computes (Table III).
 ///
 /// Evaluation paths sharing the pass structure:
-///   * analytic — virtual EamPotential calls with a per-pair sqrt (the
-///     ground-truth functional form, kept selectable for validation);
+///   * analytic — serial virtual EamPotential calls with a per-pair sqrt:
+///     the ground-truth functional form, kept as the FP64 test oracle and
+///     the bench comparator (no engine evaluates forces through it);
 ///   * batched — the production hot path: a SIMD distance sieve compacts
 ///     each neighbor row into accepted (idx, d, r²) lanes once, then the
 ///     density and force passes run the vectorized r²-indexed
@@ -21,13 +22,13 @@
 ///   * pairwise — the PR 5 scalar one-pair-at-a-time profile loop, kept as
 ///     the bench comparator for the batching win.
 ///
-/// Threading: atoms are carved into fixed 256-atom tiles dispatched
-/// round-robin over an engine::ShardPool. Each tile writes only its own
-/// atoms' forces (the full neighbor list makes every row independent) and
-/// its own energy partial; partials are then summed serially in tile
-/// order. The tile size is a constant — not derived from the worker count
-/// — so forces and energies are bitwise identical at any thread count,
-/// including the inline serial run.
+/// Threading (batched path): atoms are carved into fixed 256-atom tiles
+/// dispatched round-robin over an engine::ShardPool. Each tile writes only
+/// its own atoms' forces (the full neighbor list makes every row
+/// independent) and its own energy partial; partials are then summed
+/// serially in tile order. The tile size is a constant — not derived from
+/// the worker count — so forces and energies are bitwise identical at any
+/// thread count, including the inline serial run.
 
 #include <cstdint>
 #include <vector>
@@ -55,8 +56,9 @@ class EamForceKernel {
   /// with the potential's cutoff (list entries beyond the cutoff are
   /// filtered here — the list radius includes the skin). When `profile` is
   /// non-null it must be built from the system's potential; the evaluation
-  /// then runs table-driven instead of through virtual calls. A non-null
-  /// `pool` threads the sweep (deterministically — see above).
+  /// then runs table-driven. A null `profile` runs the serial analytic
+  /// oracle (`pool` and `path` are ignored). A non-null `pool` threads the
+  /// batched sweep (deterministically — see above).
   double compute(AtomSystem& system, const NeighborList& neighbors,
                  const eam::ProfileF64* profile = nullptr,
                  engine::ShardPool* pool = nullptr,
@@ -71,8 +73,7 @@ class EamForceKernel {
   double pair_energy() const { return e_pair_; }
 
  private:
-  double compute_analytic(AtomSystem& system, const NeighborList& neighbors,
-                          engine::ShardPool* pool);
+  double compute_analytic(AtomSystem& system, const NeighborList& neighbors);
   double compute_batched(AtomSystem& system, const NeighborList& neighbors,
                          const eam::ProfileF64& profile,
                          engine::ShardPool* pool);

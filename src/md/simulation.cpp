@@ -16,9 +16,7 @@ Simulation::Simulation(AtomSystem system, SimulationConfig config)
       neighbors_(system_.potential().cutoff(), config.skin) {
   WSMD_REQUIRE(config_.dt > 0.0, "timestep must be positive");
   WSMD_REQUIRE(config_.threads >= 0, "threads must be >= 0 (0 = auto)");
-  if (config_.tabulated) {
-    profile_ = std::make_shared<eam::ProfileF64>(system_.potential());
-  }
+  profile_ = std::make_shared<eam::ProfileF64>(system_.potential());
   int workers = config_.threads;
   if (workers == 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());

@@ -94,6 +94,18 @@ Deck deck_from_entries(
     // `dist.transport = shm|socket`. Both carriers gave bitwise-identical
     // trajectories, so dropping the pin changes nothing on resume.
     if (key == "dist.transport") continue;
+    // Every checkpoint written while forces had two evaluation paths pins
+    // `potential`. The profile tables are the only path left, so a
+    // `tabulated` pin changes nothing; an `analytic` one cannot be honored.
+    if (key == "potential") {
+      WSMD_REQUIRE(value == "tabulated",
+                   source << ": checkpoint pins 'potential = " << value
+                          << "', the retired analytic evaluation path; "
+                             "continuing it on the profile tables would "
+                             "silently change the trajectory — rerun from "
+                             "the deck instead");
+      continue;
+    }
     deck.entries.push_back(
         {key, value, static_cast<int>(deck.entries.size()) + 1});
   }

@@ -64,8 +64,9 @@ DeckEntry parse_override(const std::string& token);
 /// deck — assigning file-style line numbers so overrides appended later
 /// (line 0) get the normal CLI-against-a-file semantics. Single authority
 /// for the reconstruction: `wsmd resume` and the runner's resume
-/// validation must agree on it. Drops the retired `dist.transport` key
-/// that older ranks: checkpoints embed.
+/// validation must agree on it. Drops the retired keys older checkpoints
+/// embed: `dist.transport` and `potential = tabulated`. Throws on
+/// `potential = analytic` — that trajectory's evaluation path is gone.
 Deck deck_from_entries(
     const std::vector<std::pair<std::string, std::string>>& entries,
     const std::string& source);

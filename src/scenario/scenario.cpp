@@ -99,10 +99,7 @@ BackendSpec parse_backend(const std::string& spec) {
     }
     return bs;
   }
-  if (spec == "wafer") {
-    bs.backend = engine::Backend::kWafer;
-    return bs;
-  }
+  if (spec == "wafer") return parse_backend("sharded:1");
   if (spec == "sharded" || starts_with(spec, "sharded:")) {
     bs.backend = engine::Backend::kShardedWafer;
     bs.threads = 0;  // auto
@@ -206,10 +203,9 @@ Scenario scenario_from_deck(const Deck& deck) {
       }
       sc.pair_style = e.value;
     } else if (e.key == "potential") {
-      if (e.value != "tabulated" && e.value != "analytic") {
-        bad_entry(deck, e, "want tabulated|analytic");
-      }
-      sc.potential = e.value;
+      bad_entry(deck, e,
+                "key removed: forces are always evaluated from the "
+                "flattened profile tables");
     } else if (e.key == "geometry") {
       if (e.value != "slab" && e.value != "bulk" &&
           e.value != "grain_boundary") {
@@ -678,11 +674,9 @@ Deck deck_from_scenario(const Scenario& sc) {
 
   add("name", sc.name);
   add("element", sc.element);
-  // Emitted unconditionally (defaults included): the checkpoint's embedded
-  // deck must pin the evaluation path, or a resume could silently continue
-  // a tabulated trajectory on the analytic kernels.
+  // Emitted unconditionally (default included): the checkpoint's embedded
+  // deck must pin the interaction family.
   add("pair_style", sc.pair_style);
-  add("potential", sc.potential);
   add("geometry", sc.geometry);
   if (sc.geometry == "grain_boundary") {
     add("tilt_angle_deg", num(sc.tilt_angle_deg));
@@ -899,14 +893,11 @@ std::unique_ptr<engine::Engine> build_engine(
   }
 
   engine::EngineConfig config;
-  const bool tabulated = sc.potential == "tabulated";
   config.reference.dt = sc.dt;
-  config.reference.tabulated = tabulated;
   // `reference:N` spins up the deterministic threaded force sweep; the
   // trajectory is bitwise-identical at any N (see md/force_eam.hpp).
   config.reference.threads = bs.threads;
   config.wafer.dt = sc.dt;
-  config.wafer.tabulated = tabulated;
   config.wafer.swap_interval = sc.swap_interval;
   config.wafer.mapping.cell_size = material_facts(sc).lattice_constant;
   config.threads = bs.threads;

@@ -16,10 +16,6 @@
 ///                                    (default) or built-in noble-gas LJ
 ///                                    (pure pair potential; the engines
 ///                                    skip the density pass)
-///   potential = tabulated|analytic — force-evaluation path: flattened
-///                                    r²-indexed profile tables (default,
-///                                    the paper's per-core table copies)
-///                                    or the analytic functional form
 ///   geometry  = slab|bulk|grain_boundary
 ///   scale     = N                  — paper_slab divisor (geometry=slab,
 ///                                    when no explicit `replicate`)
@@ -27,10 +23,10 @@
 ///   vacancy_fraction = F           — random vacancies (slab/bulk)
 ///   tilt_angle_deg = D, gb_atoms = N — bicrystal controls (grain_boundary)
 ///   backend  = reference|reference:N|wafer|sharded|sharded:N|
-///              ranks:M|ranks:MxN   — ranks: forks M rank processes, each
-///                                    owning a row slab of the core grid
-///                                    (N shard threads per rank; see
-///                                    src/dist/)
+///              ranks:M|ranks:MxN   — wafer is sharded:1; ranks: forks M
+///                                    rank processes, each owning a row
+///                                    slab of the core grid (N shard
+///                                    threads per rank; see src/dist/)
 ///   dt, swap_interval, rescale_interval, seed
 ///   dist.timeout = S               — ranks: backends only: per-message
 ///                                    send/recv deadline in seconds before
@@ -122,8 +118,8 @@ struct Stage {
   const char* name() const;
 };
 
-/// Parsed backend selector ("reference[:N]" | "wafer" | "sharded[:N]" |
-/// "ranks:M[xN]").
+/// Parsed backend selector ("reference[:N]" | "sharded[:N]" |
+/// "ranks:M[xN]"; "wafer" parses as "sharded:1").
 struct BackendSpec {
   engine::Backend backend = engine::Backend::kReference;
   int threads = 1;  ///< worker count (reference/sharded; 0 = auto) or, for
@@ -138,8 +134,7 @@ BackendSpec parse_backend(const std::string& spec);
 struct Scenario {
   std::string name = "scenario";
   std::string element = "Cu";
-  std::string pair_style = "eam";       ///< eam | lj
-  std::string potential = "tabulated";  ///< tabulated | analytic
+  std::string pair_style = "eam";  ///< eam | lj
   std::string geometry = "slab";  ///< slab | bulk | grain_boundary
   int scale = 64;                 ///< paper_slab divisor
   std::array<int, 3> replicate = {0, 0, 0};  ///< 0 = use paper slab / scale

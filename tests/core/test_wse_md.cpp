@@ -7,6 +7,8 @@
 
 #include "eam/zhou.hpp"
 #include "lattice/lattice.hpp"
+#include "md/force_eam.hpp"
+#include "md/neighbor.hpp"
 #include "md/simulation.hpp"
 
 namespace wsmd::core {
@@ -222,38 +224,14 @@ TEST(WseMd, BOverrideRespected) {
   EXPECT_EQ(engine.b(), 6);
 }
 
-TEST(WseMd, CandidateAndNeighborCountsIdenticalAcrossPotentialModes) {
-  // The r² < rcut² accept test is the *same computation* on the analytic
-  // and profiled paths — the sqrt/FP64-widening hoist moved all heavy work
-  // behind the accept test, so which pairs interact cannot depend on the
-  // evaluation mode. Pin it: identical state in, identical candidate and
-  // neighbor counts out.
+TEST(WseMd, AcceptedPairsMatchFp32BruteForce) {
+  // Regression anchor for the sieve's r² < rcut² accept test: the engine's
+  // accepted count must equal an independent FP32 brute-force pair count
+  // at the pre-step positions (the open slab needs no minimum image, and b
+  // is wide enough that every in-range pair is a candidate).
   Fixture f;
-  WseMdConfig tab_cfg = f.config();
-  tab_cfg.tabulated = true;
-  WseMdConfig ana_cfg = f.config();
-  ana_cfg.tabulated = false;
-  WseMd tab(f.structure, f.potential, tab_cfg);
-  WseMd ana(f.structure, f.potential, ana_cfg);
-  ASSERT_NE(tab.profile(), nullptr);
-  ASSERT_EQ(ana.profile(), nullptr);
-
-  Rng rng(17);
-  tab.thermalize(420.0, rng);
-  ana.set_velocities(tab.velocities());
-
-  const auto st = tab.step();
-  const auto sa = ana.step();
-  EXPECT_EQ(st.mean_candidates, sa.mean_candidates);
-  EXPECT_EQ(st.mean_interactions, sa.mean_interactions);
-
-  // Regression anchor for the accept test itself: the engine's accepted
-  // count must equal an independent FP32 brute-force pair count at the
-  // pre-step positions (the open slab needs no minimum image, and b is
-  // wide enough that every in-range pair is a candidate).
-  WseMd fresh(f.structure, f.potential, tab_cfg);
-  fresh.set_velocities(std::vector<Vec3d>(f.structure.size(), Vec3d{}));
-  const auto positions = fresh.positions();
+  WseMd engine(f.structure, f.potential, f.config());
+  const auto positions = engine.positions();
   const auto rc2 =
       static_cast<float>(f.potential->cutoff() * f.potential->cutoff());
   std::size_t brute_pairs = 0;
@@ -265,23 +243,28 @@ TEST(WseMd, CandidateAndNeighborCountsIdenticalAcrossPotentialModes) {
       if (dot(d, d) < rc2) ++brute_pairs;
     }
   }
-  const auto s0 = fresh.step();
+  const auto s0 = engine.step();
   EXPECT_EQ(std::llround(s0.mean_interactions *
-                         static_cast<double>(fresh.atom_count())),
+                         static_cast<double>(engine.atom_count())),
             static_cast<long long>(brute_pairs));
 }
 
 TEST(WseMd, ProfiledEnergyTracksAnalyticEnergy) {
-  // Cross-mode sanity at the engine level: same configuration, both
-  // evaluation paths, energies within table-interpolation + FP32 noise.
+  // Cross-path accuracy at the engine level: the FP32 wafer energy (profile
+  // tables) against the FP64 analytic oracle (md::EamForceKernel with no
+  // profile) on the same periodic configuration — the wafer's FP32
+  // positions, widened exactly — within table-interpolation + FP32 noise.
   Fixture f = periodic_fixture();
-  WseMdConfig tab_cfg = f.config();
-  WseMdConfig ana_cfg = f.config();
-  ana_cfg.tabulated = false;
-  WseMd tab(f.structure, f.potential, tab_cfg);
-  WseMd ana(f.structure, f.potential, ana_cfg);
-  EXPECT_NEAR(tab.potential_energy(), ana.potential_energy(),
-              1e-4 * std::fabs(ana.potential_energy()) + 1e-3);
+  WseMd wafer(f.structure, f.potential, f.config());
+  md::AtomSystem sys(f.structure, f.potential);
+  const auto r = wafer.positions();
+  for (std::size_t i = 0; i < r.size(); ++i) sys.positions().set(i, r[i]);
+  md::NeighborList nl(f.potential->cutoff(), 1.0);
+  nl.build(sys.box(), sys.positions());
+  md::EamForceKernel oracle;
+  const double e_analytic = oracle.compute(sys, nl);
+  EXPECT_NEAR(wafer.potential_energy(), e_analytic,
+              1e-4 * std::fabs(e_analytic) + 1e-3);
 }
 
 }  // namespace

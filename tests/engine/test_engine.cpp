@@ -13,7 +13,6 @@
 
 #include "eam/zhou.hpp"
 #include "engine/reference_engine.hpp"
-#include "engine/sharded_wafer.hpp"
 #include "engine/wafer_engine.hpp"
 #include "lattice/lattice.hpp"
 
@@ -39,27 +38,22 @@ TEST(EngineFactory, BuildsEveryBackend) {
   Fixture f;
   const auto ref =
       make_engine(Backend::kReference, f.structure, f.potential, f.config);
-  const auto wafer =
-      make_engine(Backend::kWafer, f.structure, f.potential, f.config);
   const auto sharded =
       make_engine(Backend::kShardedWafer, f.structure, f.potential, f.config);
 
   EXPECT_STREQ(ref->backend_name(), "reference-fp64");
-  EXPECT_STREQ(wafer->backend_name(), "wafer-serial");
   EXPECT_STREQ(sharded->backend_name(), "sharded-wafer");
-  for (const Engine* e :
-       {ref.get(), wafer.get(), sharded.get()}) {
+  for (const Engine* e : {ref.get(), sharded.get()}) {
     EXPECT_EQ(e->atom_count(), f.structure.size());
     EXPECT_EQ(e->step_count(), 0);
     EXPECT_EQ(e->positions().size(), f.structure.size());
   }
-  EXPECT_EQ(dynamic_cast<ShardedWafer*>(sharded.get())->threads(), 2);
+  EXPECT_EQ(dynamic_cast<WaferEngine*>(sharded.get())->threads(), 2);
 }
 
 TEST(EngineInterface, CallbackFiresEveryStepOnEveryBackend) {
   Fixture f;
-  for (const Backend backend :
-       {Backend::kReference, Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kReference, Backend::kShardedWafer}) {
     const auto engine =
         make_engine(backend, f.structure, f.potential, f.config);
     Rng rng(41);
@@ -86,12 +80,12 @@ TEST(EngineInterface, ThermoIsConsistentAcrossBackends) {
   const auto ref =
       make_engine(Backend::kReference, f.structure, f.potential, f.config);
   const auto e_ref = ref->thermo().potential_energy;
-  for (const Backend backend : {Backend::kWafer, Backend::kShardedWafer}) {
-    auto engine = make_engine(backend, f.structure, f.potential, f.config);
-    engine->step();  // wafer engines evaluate energy during the step
-    EXPECT_NEAR(engine->thermo().potential_energy, e_ref,
+  for (const int threads : {1, 2}) {
+    WaferEngine engine(f.structure, f.potential, f.config.wafer, threads);
+    engine.step();  // wafer engines evaluate energy during the step
+    EXPECT_NEAR(engine.thermo().potential_energy, e_ref,
                 1e-4 * std::fabs(e_ref) + 1e-6)
-        << engine->backend_name();
+        << threads << " thread(s)";
   }
 }
 
@@ -146,7 +140,9 @@ TEST(WaferEngine, ExposesModeledAccounting) {
 
 TEST(EngineInterface, VelocityTransferRoundTrips) {
   Fixture f;
-  auto a = make_engine(Backend::kWafer, f.structure, f.potential, f.config);
+  // FP32 on both sides, so the transfer is exact: 1 thread into 2.
+  auto a = std::make_unique<WaferEngine>(f.structure, f.potential,
+                                         f.config.wafer, 1);
   auto b = make_engine(Backend::kShardedWafer, f.structure, f.potential,
                        f.config);
   Rng rng(17);

@@ -1,11 +1,12 @@
 /// \file test_sharded_wafer.cpp
-/// Sharded/serial parity: the ShardedWafer backend must reproduce the
-/// serial core::WseMd trajectory *bitwise* (FP32 state, FP64 reductions)
-/// at any thread count, including atom-swap steps and shard counts
-/// exceeding the grid height. Also covers the per-shard accounting and the
+/// Sharded/serial parity: the WaferEngine backend must reproduce the
+/// serial core::WseMd::step trajectory *bitwise* (FP32 state, FP64
+/// reductions) at any thread count — one thread included, which is what
+/// the `wafer` backend spelling runs — through atom-swap steps and shard
+/// counts exceeding the grid height. Also covers the shard layout and the
 /// modeled halo-exchange cost.
 
-#include "engine/sharded_wafer.hpp"
+#include "engine/wafer_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -65,10 +66,7 @@ TEST_P(ThreadParity, BitwiseMatchesSerialOver100Steps) {
   Fixture f;
 
   core::WseMd serial(f.structure, f.potential, f.config());
-  ShardedWaferConfig scfg;
-  scfg.wse = f.config();
-  scfg.threads = threads;
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  WaferEngine sharded(f.structure, f.potential, f.config(), threads);
   EXPECT_EQ(sharded.threads(), threads);
 
   Rng rng_a(2024), rng_b(2024);
@@ -104,10 +102,7 @@ TEST_P(ThreadParity, ScrambleAndSwapRecoveryMatchesSerial) {
   cfg.b_override = 6;  // slack for the scrambled mapping
 
   core::WseMd serial(f.structure, f.potential, cfg);
-  ShardedWaferConfig scfg;
-  scfg.wse = cfg;
-  scfg.threads = threads;
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  WaferEngine sharded(f.structure, f.potential, cfg, threads);
 
   Rng scramble_a(99), scramble_b(99);
   serial.scramble_mapping(scramble_a, 200);
@@ -137,13 +132,11 @@ INSTANTIATE_TEST_SUITE_P(Threads, ThreadParity, ::testing::Values(1, 2, 4),
                            return std::string(name);
                          });
 
-TEST(ShardedWafer, MoreShardsThanGridRowsStillExact) {
+TEST(WaferEngine, MoreShardsThanGridRowsStillExact) {
   Fixture f;
   core::WseMd serial(f.structure, f.potential, f.config());
-  ShardedWaferConfig scfg;
-  scfg.wse = f.config();
-  scfg.threads = 64;  // far more than grid rows: many empty shards
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  // Far more threads than grid rows: many empty shards.
+  WaferEngine sharded(f.structure, f.potential, f.config(), 64);
 
   Rng a(5), b(5);
   serial.thermalize(290.0, a);
@@ -153,12 +146,9 @@ TEST(ShardedWafer, MoreShardsThanGridRowsStillExact) {
   expect_identical_state(serial, sharded.wafer());
 }
 
-TEST(ShardedWafer, ShardsTileTheGrid) {
+TEST(WaferEngine, ShardsTileTheGrid) {
   Fixture f;
-  ShardedWaferConfig scfg;
-  scfg.wse = f.config();
-  scfg.threads = 3;
-  ShardedWafer sharded(f.structure, f.potential, scfg);
+  WaferEngine sharded(f.structure, f.potential, f.config(), 3);
 
   const auto& shards = sharded.shards();
   ASSERT_EQ(shards.size(), 3u);
@@ -177,44 +167,16 @@ TEST(ShardedWafer, ShardsTileTheGrid) {
   EXPECT_EQ(covered, h);
 }
 
-TEST(ShardedWafer, ShardStatsReduceToGlobalStats) {
+TEST(WaferEngine, HaloCostChargedPerShard) {
   Fixture f;
-  ShardedWaferConfig scfg;
-  scfg.wse = f.config();
-  scfg.threads = 4;
-  ShardedWafer sharded(f.structure, f.potential, scfg);
-  Rng rng(11);
-  sharded.thermalize(290.0, rng);
-  sharded.step();
-
-  const auto& global = sharded.last_step_stats();
-  double max_cycles = 0.0;
-  for (const auto& s : sharded.shard_stats()) {
-    max_cycles = std::max(max_cycles, s.max_cycles);
-    if (s.mean_cycles > 0.0) {
-      EXPECT_GE(global.max_cycles, s.max_cycles);
-    }
-  }
-  EXPECT_EQ(global.max_cycles, max_cycles);
-}
-
-TEST(ShardedWafer, HaloCostChargedPerShard) {
-  Fixture f;
-  ShardedWaferConfig one;
-  one.wse = f.config();
-  one.threads = 1;
-  ShardedWafer serial(f.structure, f.potential, one);
+  WaferEngine serial(f.structure, f.potential, f.config(), 1);
   EXPECT_EQ(serial.halo_cycles_per_step(), 0.0);
 
-  ShardedWaferConfig four = one;
-  four.threads = 4;
-  ShardedWafer sharded(f.structure, f.potential, four);
+  WaferEngine sharded(f.structure, f.potential, f.config(), 4);
   EXPECT_GT(sharded.halo_cycles_per_step(), 0.0);
 
   // More shards -> more internal boundary -> more halo cost.
-  ShardedWaferConfig eight = one;
-  eight.threads = 8;
-  ShardedWafer finer(f.structure, f.potential, eight);
+  WaferEngine finer(f.structure, f.potential, f.config(), 8);
   EXPECT_GT(finer.halo_cycles_per_step(), sharded.halo_cycles_per_step());
 }
 
@@ -229,16 +191,13 @@ TEST(CostModelHalo, GhostRegionArithmetic) {
   EXPECT_EQ(model.halo_exchange_cycles(10, 10, 0), 0.0);
 }
 
-TEST(ShardedWafer, HaloClippedToPhysicalGrid) {
+TEST(WaferEngine, HaloClippedToPhysicalGrid) {
   // Two row strips: the only real boundary is the shared edge, so the
   // charged ghost cores are exactly the 2b-deep bands either side of it
   // (x2 for the two exchanges per step) — halo cores hanging off the grid
   // edges are not billed.
   Fixture f;
-  ShardedWaferConfig cfg;
-  cfg.wse = f.config();
-  cfg.threads = 2;
-  ShardedWafer sharded(f.structure, f.potential, cfg);
+  WaferEngine sharded(f.structure, f.potential, f.config(), 2);
   const int w = sharded.wafer().mapping().grid_width();
   const int b = sharded.wafer().b();
   const auto& model = sharded.wafer().config().cost_model;

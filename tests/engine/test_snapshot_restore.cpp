@@ -6,7 +6,8 @@
 /// at every later step. That must survive the hard cases: a Verlet-list
 /// rebuild landing after the restore point (reference), an atom-swap
 /// mutated core mapping (wafer), and re-sharding onto a different thread
-/// count (a serial-wafer snapshot restored into sharded:N and vice versa).
+/// count (a one-thread `wafer` snapshot restored into sharded:N and vice
+/// versa).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,6 @@
 
 #include "eam/zhou.hpp"
 #include "engine/engine.hpp"
-#include "engine/sharded_wafer.hpp"
 #include "lattice/lattice.hpp"
 #include "util/error.hpp"
 
@@ -58,9 +58,10 @@ void expect_bitwise_equal(Engine& a, Engine& b, const std::string& label) {
 /// Run `total` steps uninterrupted; in parallel, snapshot a twin at
 /// `snapshot_at`, restore into a *fresh* engine, and finish there. Both
 /// must agree bitwise at the end (and at every step via thermo).
-void check_restart_parity(Backend backend, int swap_interval,
+void check_restart_parity(Backend backend, int threads, int swap_interval,
                           const std::string& label) {
   Fixture f(swap_interval);
+  f.config.threads = threads;
   const long snapshot_at = 9, total = 25;
 
   auto straight = make_engine(backend, f.structure, f.potential, f.config);
@@ -85,34 +86,36 @@ void check_restart_parity(Backend backend, int swap_interval,
 }
 
 TEST(SnapshotRestore, ReferenceContinuesBitwise) {
-  check_restart_parity(Backend::kReference, 0, "reference");
+  check_restart_parity(Backend::kReference, 1, 0, "reference");
 }
 
 TEST(SnapshotRestore, WaferContinuesBitwise) {
-  check_restart_parity(Backend::kWafer, 0, "wafer");
+  check_restart_parity(Backend::kShardedWafer, 1, 0, "wafer");
 }
 
 TEST(SnapshotRestore, ShardedContinuesBitwise) {
-  check_restart_parity(Backend::kShardedWafer, 0, "sharded");
+  check_restart_parity(Backend::kShardedWafer, 3, 0, "sharded");
 }
 
 TEST(SnapshotRestore, WaferWithAtomSwapsRestoresTheMutatedMapping) {
   // swap_interval 4 fires swaps both before and after the restore point —
   // the mapping the checkpoint carries is not the constructed one.
-  check_restart_parity(Backend::kWafer, 4, "wafer+swaps");
-  check_restart_parity(Backend::kShardedWafer, 4, "sharded+swaps");
+  check_restart_parity(Backend::kShardedWafer, 1, 4, "wafer+swaps");
+  check_restart_parity(Backend::kShardedWafer, 3, 4, "sharded+swaps");
 }
 
 TEST(SnapshotRestore, SerialWaferSnapshotReshardsBitwise) {
-  // The sharded-restore guarantee: a serial-wafer snapshot restored into
-  // sharded:N (re-sharded across threads) continues bitwise identical to
-  // the serial engine, extending the existing sharded-parity invariant to
+  // The sharded-restore guarantee: a one-thread (`wafer`) snapshot restored
+  // into sharded:N (re-sharded across threads) continues bitwise identical
+  // to the one-thread engine, extending the sharded-parity invariant to
   // restarts. And the reverse direction, for completeness.
   Fixture f(/*swap_interval=*/5);
   const long snapshot_at = 10, total = 24;
 
-  auto serial = make_engine(Backend::kWafer, f.structure, f.potential,
-                            f.config);
+  EngineConfig one_thread = f.config;
+  one_thread.threads = 1;
+  auto serial = make_engine(Backend::kShardedWafer, f.structure, f.potential,
+                            one_thread);
   Rng rng(2024);
   serial->thermalize(300.0, rng);
   serial->run(snapshot_at);
@@ -137,8 +140,8 @@ TEST(SnapshotRestore, SerialWaferSnapshotReshardsBitwise) {
   sharded->thermalize(300.0, rng2);
   sharded->run(snapshot_at);
   const State snap2 = sharded->snapshot();
-  auto serial2 = make_engine(Backend::kWafer, f.structure, f.potential,
-                             f.config);
+  auto serial2 = make_engine(Backend::kShardedWafer, f.structure,
+                             f.potential, one_thread);
   serial2->restore(snap2);
   serial2->run(total - snapshot_at);
   expect_bitwise_equal(*serial, *serial2, "sharded->serial");
@@ -146,8 +149,7 @@ TEST(SnapshotRestore, SerialWaferSnapshotReshardsBitwise) {
 
 TEST(SnapshotRestore, SnapshotIsValidBeforeAnyStep) {
   Fixture f;
-  for (const Backend backend :
-       {Backend::kReference, Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kReference, Backend::kShardedWafer}) {
     auto a = make_engine(backend, f.structure, f.potential, f.config);
     const State snap = a->snapshot();
     EXPECT_EQ(snap.step, 0);
@@ -162,8 +164,7 @@ TEST(SnapshotRestore, RejectsAtomCountMismatch) {
   const auto p = eam::zhou_parameters("Cu");
   const auto small = lattice::replicate(
       lattice::UnitCell::of(p.structure, p.lattice_constant()), 2, 2, 2);
-  for (const Backend backend :
-       {Backend::kReference, Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kReference, Backend::kShardedWafer}) {
     auto big = make_engine(backend, f.structure, f.potential, f.config);
     auto tiny = make_engine(backend, small, f.potential, f.config);
     EXPECT_THROW(tiny->restore(big->snapshot()), wsmd::Error)
@@ -173,8 +174,7 @@ TEST(SnapshotRestore, RejectsAtomCountMismatch) {
 
 TEST(SnapshotRestore, SetPositionsRoundTripsThroughTheSurface) {
   Fixture f;
-  for (const Backend backend :
-       {Backend::kReference, Backend::kWafer, Backend::kShardedWafer}) {
+  for (const Backend backend : {Backend::kReference, Backend::kShardedWafer}) {
     auto eng = make_engine(backend, f.structure, f.potential, f.config);
     auto shifted = eng->positions();
     for (auto& r : shifted) r = r + Vec3d{0.05, -0.03, 0.02};

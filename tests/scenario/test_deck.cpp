@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/wafer_engine.hpp"
 #include "scenario/deck.hpp"
 #include "scenario/scenario.hpp"
 #include "telemetry/health.hpp"
@@ -151,19 +152,49 @@ TEST(Scenario, RejectsUnknownKeysAndBadValues) {
 }
 
 TEST(Scenario, PotentialAndPairStyleKeysValidateEagerly) {
-  // Evaluation-path selector: tabulated (default) | analytic, nothing else.
-  EXPECT_EQ(scenario_from_deck(parse_deck_string("")).potential, "tabulated");
-  EXPECT_EQ(
-      scenario_from_deck(parse_deck_string("potential = analytic\n")).potential,
-      "analytic");
+  // The evaluation-path selector is gone (forces always come from the
+  // profile tables): any `potential` entry is rejected with blame, whether
+  // it comes from the deck file or from --set.
+  for (const char* value : {"tabulated", "analytic"}) {
+    try {
+      scenario_from_deck(parse_deck_string(
+          std::string("element = Cu\npotential = ") + value + "\n",
+          "p.deck"));
+      FAIL() << "expected Error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("p.deck:2"), std::string::npos) << what;
+      EXPECT_NE(what.find("key removed"), std::string::npos) << what;
+    }
+    Deck deck = parse_deck_string("element = Cu\n", "p.deck");
+    deck.set("potential", value);
+    try {
+      scenario_from_deck(deck);
+      FAIL() << "expected Error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("<cli override>"), std::string::npos) << what;
+      EXPECT_NE(what.find("key removed"), std::string::npos) << what;
+    }
+  }
+  // Checkpoint-embedded decks: the `tabulated` pin every older checkpoint
+  // carries loads without the key; an `analytic` pin names the retired
+  // path instead of silently switching kernels.
+  const Deck embedded = deck_from_entries(
+      {{"element", "Cu"}, {"potential", "tabulated"}, {"run", "5"}},
+      "<checkpoint>");
+  ASSERT_EQ(embedded.entries.size(), 2u);
+  EXPECT_EQ(embedded.entries[1].key, "run");
+  EXPECT_EQ(embedded.entries[1].line, 2);
+  EXPECT_NO_THROW(scenario_from_deck(embedded));
   try {
-    scenario_from_deck(parse_deck_string("potential = spline\n", "p.deck"));
+    deck_from_entries({{"element", "Cu"}, {"potential", "analytic"}},
+                      "<checkpoint>");
     FAIL() << "expected Error";
   } catch (const Error& e) {
-    // Eager validation with file:line blame.
-    EXPECT_NE(std::string(e.what()).find("p.deck:1"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("tabulated|analytic"),
-              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("retired analytic evaluation path"),
+              std::string::npos)
+        << e.what();
   }
 
   // Interaction family: eam (default) | lj with its own element table.
@@ -204,7 +235,13 @@ TEST(Scenario, LjMaterialFactsDriveStructureAndEngine) {
 
 TEST(Scenario, BackendSpecParsing) {
   EXPECT_EQ(parse_backend("reference").backend, engine::Backend::kReference);
-  EXPECT_EQ(parse_backend("wafer").backend, engine::Backend::kWafer);
+  // `wafer` is one-thread sharded: the same engine, inline on the caller.
+  const auto wafer = parse_backend("wafer");
+  const auto one = parse_backend("sharded:1");
+  EXPECT_EQ(wafer.backend, one.backend);
+  EXPECT_EQ(wafer.threads, one.threads);
+  EXPECT_EQ(wafer.ranks, one.ranks);
+  EXPECT_EQ(wafer.threads, 1);
   const auto sharded = parse_backend("sharded:8");
   EXPECT_EQ(sharded.backend, engine::Backend::kShardedWafer);
   EXPECT_EQ(sharded.threads, 8);
@@ -693,7 +730,8 @@ TEST(Scenario, BuildEngineHonorsBackendAndOverride) {
       "backend = wafer\n"));
   const auto structure = build_structure(sc);
   auto wafer = build_engine(sc, structure);
-  EXPECT_STREQ(wafer->backend_name(), "wafer-serial");
+  EXPECT_STREQ(wafer->backend_name(), "sharded-wafer");
+  EXPECT_EQ(dynamic_cast<engine::WaferEngine&>(*wafer).threads(), 1);
   auto ref = build_engine(sc, structure, "reference");
   EXPECT_STREQ(ref->backend_name(), "reference-fp64");
   auto sharded = build_engine(sc, structure, "sharded:2");

@@ -42,6 +42,19 @@ Deck embedded_deck(const io::CheckpointData& ckpt) {
   return deck_from_entries(ckpt.deck, "<checkpoint>");
 }
 
+/// A thermo CSV's text, for byte comparison: the header plus every row
+/// from `from_step` on.
+std::vector<std::string> thermo_lines_from(const std::string& path,
+                                           long from_step) {
+  std::ifstream in(path);
+  std::vector<std::string> kept;
+  std::string line;
+  for (bool header = true; std::getline(in, line); header = false) {
+    if (header || std::stol(line) >= from_step) kept.push_back(line);
+  }
+  return kept;
+}
+
 void expect_rows_equal(const io::Series& straight, const io::Series& resumed,
                        long from_step, const std::string& label) {
   ASSERT_EQ(straight.columns, resumed.columns) << label;
@@ -256,57 +269,74 @@ TEST(Resume, RejectsScheduleAndStructureChanges) {
     EXPECT_THROW(resume_scenario(scenario_from_deck(rdeck), ckpt, {}),
                  wsmd::Error);
   }
-  {
-    // The potential evaluation path (profile tables vs analytic form) is
-    // part of the trajectory: a checkpoint written under
-    // potential=tabulated (the default) must not continue on the analytic
-    // kernels.
-    Deck rdeck = embedded_deck(ckpt);
-    rdeck.set("potential", "analytic");
-    rdeck.set("observe.prefix", base + ".r10");
-    EXPECT_THROW(resume_scenario(scenario_from_deck(rdeck), ckpt, {}),
-                 wsmd::Error);
-  }
   for (const auto& o : result.observables) std::remove(o.path.c_str());
   std::remove((base + ".ckpt").c_str());
 }
 
-TEST(Resume, AnalyticModeResumesBitwiseUnderItsOwnKey) {
-  // The analytic path keeps the same kill-and-resume guarantee as the
-  // tabulated default — and the embedded deck carries `potential =
-  // analytic`, so a plain resume continues on the matching kernels.
-  const std::string base = ::testing::TempDir() + "wsmd_resume_analytic";
-  const char* spec =
-      "element = Cu\n"
-      "geometry = slab\n"
-      "scale = 64\n"
-      "potential = analytic\n"
-      "thermalize = 120\n"
-      "run = 12\n"
-      "thermo_every = 1\n";
-  Deck deck = parse_deck_string(spec, "<analytic-resume>");
-  deck.set("name", "analytic_resume");
-  deck.set("thermo", base + ".straight.thermo.csv");
-  deck.set("checkpoint.every", "6");
-  deck.set("checkpoint.path", base + ".*.ckpt");
-  const auto straight = run_scenario(scenario_from_deck(deck));
-  ASSERT_GE(straight.checkpoints_written, 2u);
+TEST(Resume, CheckpointsPinningTheRetiredPotentialKey) {
+  // Every checkpoint written while forces had two evaluation paths embeds
+  // `potential = tabulated|analytic` right after `pair_style`. A
+  // `tabulated` pin is the only path left: it loads and continues the
+  // uninterrupted run byte for byte. An `analytic` pin is refused with a
+  // reason naming the retired path.
+  for (const std::string backend : {"ranks:2", "sharded:2"}) {
+    const std::string base = ::testing::TempDir() + "wsmd_resume_potential_" +
+                              backend.substr(0, 3);
+    Deck deck = parse_deck_string(
+        "element = Cu\n"
+        "geometry = slab\n"
+        "scale = 64\n"
+        "thermalize = 120\n"
+        "run = 12\n"
+        "thermo_every = 1\n",
+        "<potential-resume>");
+    deck.set("name", "potential_resume");
+    deck.set("backend", backend);
+    deck.set("thermo", base + ".straight.thermo.csv");
+    deck.set("checkpoint.every", "6");
+    deck.set("checkpoint.path", base + ".*.ckpt");
+    run_scenario(scenario_from_deck(deck));
 
-  const auto ckpt = io::read_checkpoint_file(base + ".6.ckpt");
-  EXPECT_EQ(embedded_deck(ckpt).get("potential"), "analytic");
-  Deck rdeck = embedded_deck(ckpt);
-  rdeck.set("thermo", base + ".resumed.thermo.csv");
-  rdeck.set("checkpoint.every", "0");
-  resume_scenario(scenario_from_deck(rdeck), ckpt, {});
+    // Rewrite the step-6 checkpoint the way an older build embedded it.
+    const std::string ckpt_path = base + ".6.ckpt";
+    const io::CheckpointData fresh = io::read_checkpoint_file(ckpt_path);
+    const auto pinned = [&fresh](const char* value) {
+      io::CheckpointData old = fresh;
+      auto at = old.deck.begin();
+      while (at != old.deck.end() && at->first != "pair_style") ++at;
+      EXPECT_NE(at, old.deck.end()) << "embedded deck pins pair_style";
+      old.deck.insert(at + 1, {"potential", value});
+      return old;
+    };
+    io::write_checkpoint_file(ckpt_path, pinned("tabulated"));
 
-  expect_rows_equal(
-      io::read_series_csv_file(base + ".straight.thermo.csv"),
-      io::read_series_csv_file(base + ".resumed.thermo.csv"),
-      /*from_step=*/6, "analytic thermo");
-  for (const auto* suffix :
-       {".straight.thermo.csv", ".resumed.thermo.csv", ".6.ckpt",
-        ".12.ckpt"}) {
-    std::remove((base + suffix).c_str());
+    const auto ckpt = io::read_checkpoint_file(ckpt_path);
+    Deck rdeck = embedded_deck(ckpt);
+    EXPECT_FALSE(rdeck.has("potential"));
+    rdeck.set("thermo", base + ".resumed.thermo.csv");
+    rdeck.set("checkpoint.every", "0");
+    const Scenario resumed_sc = scenario_from_deck(rdeck);
+    const auto resumed = resume_scenario(resumed_sc, ckpt, {});
+    EXPECT_EQ(resumed.resumed_from_step, 6) << backend;
+    const auto straight =
+        thermo_lines_from(base + ".straight.thermo.csv", 6);
+    ASSERT_EQ(straight.size(), 8u) << backend;  // header + steps 6..12
+    EXPECT_EQ(straight, thermo_lines_from(base + ".resumed.thermo.csv", 6))
+        << backend;
+
+    try {
+      resume_scenario(resumed_sc, pinned("analytic"), {});
+      FAIL() << backend << ": expected Error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("retired analytic evaluation path"),
+                std::string::npos)
+          << e.what();
+    }
+    for (const auto* suffix :
+         {".straight.thermo.csv", ".resumed.thermo.csv", ".6.ckpt",
+          ".12.ckpt"}) {
+      std::remove((base + suffix).c_str());
+    }
   }
 }
 
@@ -345,19 +375,8 @@ TEST(Resume, RanksCheckpointPinningTheRetiredTransportKeyResumes) {
   const auto resumed = resume_scenario(scenario_from_deck(rdeck), ckpt, {});
   EXPECT_EQ(resumed.resumed_from_step, 6);
 
-  // Byte comparison of the CSV text: the header plus every row from the
-  // resume step on.
-  const auto lines_from = [](const std::string& path, long from_step) {
-    std::ifstream in(path);
-    std::vector<std::string> kept;
-    std::string line;
-    for (bool header = true; std::getline(in, line); header = false) {
-      if (header || std::stol(line) >= from_step) kept.push_back(line);
-    }
-    return kept;
-  };
-  const auto straight = lines_from(base + ".straight.thermo.csv", 6);
-  const auto continued = lines_from(base + ".resumed.thermo.csv", 6);
+  const auto straight = thermo_lines_from(base + ".straight.thermo.csv", 6);
+  const auto continued = thermo_lines_from(base + ".resumed.thermo.csv", 6);
   ASSERT_EQ(straight.size(), 8u);  // header + steps 6..12
   EXPECT_EQ(straight, continued);
   for (const auto* suffix :
